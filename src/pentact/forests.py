@@ -201,9 +201,6 @@ def pattern_position(kind, c):
     return (2 * ((c - 4) % 5) + 1) % 10
 
 
-_phase = pattern_position
-
-
 @dataclass
 class ForestReport:
     ok: bool = True
@@ -255,7 +252,7 @@ def validate_fcf(t, f):
                 out_seen[c] = u
             else:
                 in_colors.add(c)
-            seq.append(_phase(kind, c))
+            seq.append(pattern_position(kind, c))
         drops = sum(1 for i in range(len(seq)) if seq[i] > seq[(i + 1) % len(seq)])
         if drops > 1:
             rep.add(f"(F2) vertex {v}: blocks out of cyclic order (phases {seq})")

@@ -16,8 +16,6 @@ import json
 import random
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from .errors import (
     ChordPresent,
     InvalidSize,
@@ -288,6 +286,10 @@ def validate(t: Triangulation) -> ValidationReport:
 
 
 def _embed_with_networkx(edge_list):
+    # imported here: networkx is about 20 MiB of resident memory, and input
+    # that carries its rotation system never needs it
+    import networkx as nx
+
     g = nx.Graph(edge_list)
     ok, emb = nx.check_planarity(g)
     if not ok:

@@ -37,10 +37,6 @@ class Q5:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Q5 is immutable")
 
-    @classmethod
-    def from_rational(cls, x: _RatLike) -> "Q5":
-        return cls(x, 0)
-
     @staticmethod
     def _coerce(x: Q5Like) -> "Q5":
         if isinstance(x, Q5):
@@ -135,11 +131,14 @@ class Q5:
     def __ge__(self, other: Q5Like) -> bool:
         return (self - self._coerce(other)).sign() >= 0
 
-    def is_negative(self) -> bool:
-        return self.sign() < 0
-
     def to_float(self) -> float:
-        """Double approximation ``float(a) + float(b)*sqrt(5)`` (<= 4 ulp off)."""
+        """Double approximation ``float(a) + float(b)*sqrt(5)``.
+
+        ``a`` and ``b`` are rounded separately before the sum, so when the two
+        terms nearly cancel the result can be far off, even of the wrong
+        sign: at nested stacking depth 400 a tiny positive value converts to
+        -3.96e28.  Exact signs come from :meth:`sign`.
+        """
         return float(self.a) + float(self.b) * _SQRT5
 
     __float__ = to_float
