@@ -156,25 +156,25 @@ def bench_one(task):
 
 
 def _parse_range(text):
-    if "-" in text:
-        lo, hi = text.split("-", 1)
-        lo, hi = int(lo), int(hi)
-    else:
-        lo = hi = int(text)
+    """argparse type of --n: one inner-vertex count or a range lo-hi."""
+    lo, sep, hi = text.partition("-")
+    try:
+        lo, hi = int(lo), int(hi if sep else lo)
+    except ValueError:
+        lo = hi = 0  # rejected below
     if lo < 1 or hi < lo:
-        raise ValueError(f"bad size range {text!r}")
+        raise argparse.ArgumentTypeError(f"bad size range {text!r}")
     return lo, hi
 
 
 def cmd_bench(args):
-    lo, hi = _parse_range(args.n)
+    lo, hi = args.n
     tasks = []
     for i in range(args.count):
         tasks.append((lo + i % (hi - lo + 1), args.seed + i))
-    threads = int(os.environ.get("PENTACT_THREADS", "1"))
-    if threads > 1 and tasks:
+    if args.threads > 1 and tasks:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=args.threads) as pool:
             rows = list(pool.map(bench_one, tasks))
     else:
         rows = [bench_one(task) for task in tasks]
@@ -216,7 +216,8 @@ def _build_parser():
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("bench", help="run the termination experiment")
-    p.add_argument("--n", default="4-12", help="inner-vertex count or range lo-hi")
+    p.add_argument("--n", default="4-12", type=_parse_range,
+                   help="inner-vertex count or range lo-hi")
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", help="CSV output path (default stdout)")
@@ -231,6 +232,12 @@ def main(argv=None):
         ap.error("--max-iters must be at least 1")
     if getattr(args, "count", None) is not None and args.count < 0:
         ap.error("--count must be non-negative")
+    if args.command == "bench":
+        threads = os.environ.get("PENTACT_THREADS", "1")
+        try:
+            args.threads = int(threads)
+        except ValueError:
+            ap.error(f"PENTACT_THREADS must be an integer, got {threads!r}")
     try:
         return args.func(args)
     except ParseError as exc:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -66,9 +67,6 @@ class Triangulation:
     def degree(self, v):
         return len(self.rot[v])
 
-    def neighbors(self, v):
-        return self.rot[v]
-
     def has_edge(self, u, v):
         return (u, v) in self._pos
 
@@ -86,11 +84,6 @@ class Triangulation:
 
     def inner_edges(self):
         return self.edges() - self.outer_edges()
-
-    def cw_next(self, v, u):
-        """Neighbour following u clockwise around v."""
-        ns = self.rot[v]
-        return ns[(self._pos[(v, u)] + 1) % len(ns)]
 
     def ccw_next(self, v, u):
         ns = self.rot[v]
@@ -150,10 +143,6 @@ class Triangulation:
             for i, orbit in enumerate(self.faces())
             if i != out
         ]
-
-    def face_at_gap(self, v, s):
-        """Face occupying the angular gap just clockwise of neighbour s at v."""
-        return self.face_index(v, s)
 
     # -- serialization ---------------------------------------------------
 
@@ -361,62 +350,77 @@ def wheel5():
 
 def _stack_vertex(rot, face, new_id):
     """Split the clockwise face (v0,v1,v2) by a degree-3 vertex."""
-    v0, v1, v2 = face
-    rot[new_id] = [v0, v1, v2]
-    tri = (v0, v1, v2)
+    tri = tuple(face)
+    gaps = []
     for i, v in enumerate(tri):
-        nxt, prv = tri[(i + 1) % 3], tri[(i - 1) % 3]
         ns = rot[v]
-        ns.insert(ns.index(nxt) + 1, new_id)
-        # the gap clockwise of `nxt` must be this face: prv follows
-        assert ns[(ns.index(new_id) + 1) % len(ns)] == prv or True
+        # the gap clockwise of the next corner must be this face: the
+        # previous corner follows it
+        j = ns.index(tri[(i + 1) % 3]) + 1
+        if ns[j % len(ns)] != tri[i - 1]:
+            raise PentactError(f"{tri} is not a clockwise face")
+        gaps.append(j)
+    for v, j in zip(tri, gaps):
+        rot[v].insert(j, new_id)
+    rot[new_id] = list(tri)
 
 
-def _try_flip(rot, outer_set, u, v, t):
-    """Flip inner edge (u,v) if the replacement diagonal is admissible."""
-    fa = t.face_index(u, v)
-    fb = t.face_index(v, u)
-    orbit_a = t.faces()[fa]
-    orbit_b = t.faces()[fb]
-    if len(orbit_a) != 3 or len(orbit_b) != 3:
-        return False
-    x = [h[0] for h in orbit_a if h[0] not in (u, v)][0]
-    y = [h[0] for h in orbit_b if h[0] not in (u, v)][0]
-    if x == y or (x, y) in t._pos:
-        return False
-    if x in outer_set and y in outer_set:
-        return False
-    # faces clockwise: (u,v,x) and (v,u,y)
+def _flip_in_rotation(rot, outer_set, u, v):
+    """Flip inner edge (u,v) in place if the replacement diagonal is admissible.
+
+    The clockwise faces on its two sides are (u,v,x) and (v,u,y); the flip
+    replaces uv by xy.  Returns (x, y), or None when the flip is refused.
+    """
+    x = rot[v][rot[v].index(u) - 1]
+    y = rot[u][rot[u].index(v) - 1]
+    if x == y or y in rot[x] or (x in outer_set and y in outer_set):
+        return None
     rot[u].remove(v)
     rot[v].remove(u)
     rot[x].insert(rot[x].index(u) + 1, y)
     rot[y].insert(rot[y].index(v) + 1, x)
-    return True
+    return x, y
 
 
 def generate_random(n_inner, seed):
-    """Seed-deterministic random instance: stacking then diagonal flips."""
+    """Seed-deterministic random instance: stacking then diagonal flips.
+
+    Works on the rotation lists alone.  The inner faces stay in the order
+    `Triangulation.inner_faces` lists them: by their lowest half-edge (a,b),
+    ranked by a's insertion order and then by b's place in rot[a].  Stacking
+    only inserts into rotations, so it keeps the ranks of all old half-edges
+    in order, and each child face is inserted where that rank puts it.
+    """
     if n_inner < 1:
         raise InvalidSize("need at least one inner vertex")
     rng = random.Random(seed)
     t = wheel5()
     rot = {v: list(ns) for v, ns in t.rot.items()}
-    next_id = 6
-    for _ in range(n_inner - 1):
-        faces = Triangulation(t.outer, rot, check=False).inner_faces()
-        face = faces[rng.randrange(len(faces))]
-        _stack_vertex(rot, face, next_id)
-        next_id += 1
+    order = {v: i for i, v in enumerate(rot)}
+
+    def rank(f):
+        return order[f[0]], rot[f[0]].index(f[1])
+
+    faces = t.inner_faces()
+    for new in range(6, n_inner + 5):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        _stack_vertex(rot, (a, b, c), new)
+        order[new] = len(order)
+        for p, q in ((a, b), (b, c), (c, a)):
+            # half-edges out of the new vertex rank last
+            insort(faces, min((p, q, new), (q, new, p), key=rank), key=rank)
     outer_set = set(t.outer)
-    cur = Triangulation(t.outer, rot, check=False)
-    attempts = 3 * len(cur.inner_edges())
-    for _ in range(attempts):
-        inner = sorted(cur.inner_edges())
+    outer_edges = t.outer_edges()
+    inner = sorted((u, v) for u in rot for v in rot[u]
+                   if u < v and (u, v) not in outer_edges)
+    for _ in range(3 * len(inner)):
         u, v = inner[rng.randrange(len(inner))]
         if rng.random() < 0.5:
             u, v = v, u
-        if _try_flip(rot, outer_set, u, v, cur):
-            cur = Triangulation(t.outer, rot, check=False)
+        diagonal = _flip_in_rotation(rot, outer_set, u, v)
+        if diagonal:
+            del inner[bisect_left(inner, (min(u, v), max(u, v)))]
+            insort(inner, (min(diagonal), max(diagonal)))
     return Triangulation(t.outer, rot)
 
 
@@ -428,7 +432,6 @@ class Contraction:
     """Bookkeeping of the pentagon-to-triangle contraction."""
 
     triangle: Triangulation
-    b1: int
     b3: int
     b4: int
     apex_23: int  # common neighbour of a2,a3 whose triangle is maximal
@@ -465,16 +468,6 @@ def _maximal_apex(t, p, q, far):
     raise PentactError(f"no maximal triangle over edge ({p},{q})")
 
 
-def _sub_rotation(t, keep, boundary_fix=None):
-    rot = {}
-    for v in keep:
-        ns = [u for u in t.rot[v] if u in keep]
-        rot[v] = ns
-    if boundary_fix:
-        boundary_fix(rot)
-    return rot
-
-
 def _region_triangulation(t, apex, p, q, interior):
     """The sub-map inside triangle (apex, p, q), outer cycle clockwise."""
     if not interior:
@@ -498,7 +491,7 @@ def _region_triangulation(t, apex, p, q, interior):
 def contract_for_schnyder(t):
     """Contract a2a3 and a4a5 after clearing their maximal triangles.
 
-    Returns the inner triangulation of the triangle (b1, b3, b4) together
+    Returns the inner triangulation of the triangle (a1, b3, b4) together
     with the bookkeeping needed to recolour the removed regions later.
     """
     a1, a2, a3, a4, a5 = t.outer
@@ -538,7 +531,6 @@ def contract_for_schnyder(t):
     tri = Triangulation((a1, b3, b4), rot)
     return Contraction(
         triangle=tri,
-        b1=a1,
         b3=b3,
         b4=b4,
         apex_23=c5,

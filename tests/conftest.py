@@ -126,3 +126,34 @@ def stackings_upto(max_inner):
                 nxt.append(t2)
                 yield t2
         level = nxt
+
+
+def hub_spread(n_inner):
+    """Deterministic family whose loop runs n - 3 times (for n >= 8).
+
+    Start from the wheel with hub 5 and ring = the hub's clockwise
+    neighbours.  Each new vertex splits the face (hub, ring[i], ring[i+1])
+    with i = k mod len(ring), joins the ring after ring[i], and k grows by 2.
+    """
+    from pentact.planarmap import _stack_vertex
+
+    w = wheel5()
+    rot = {v: list(ns) for v, ns in w.rot.items()}
+    ring = list(rot[5])
+    k = 0
+    for new in range(6, n_inner + 5):
+        i = k % len(ring)
+        _stack_vertex(rot, (5, ring[i], ring[(i + 1) % len(ring)]), new)
+        ring.insert(i + 1, new)
+        k += 2
+    return Triangulation(w.outer, rot)
+
+
+# an n=8 instance on which the loop runs 10 iterations, twice hub-spread's
+# count at n=8: outer cycle 0..4 clockwise plus these inner edges
+LONGRUN8_INNER_EDGES = [
+    (0, 7), (0, 9), (1, 9), (2, 9), (3, 5), (3, 6), (3, 7), (3, 8), (3, 9),
+    (3, 10), (3, 11), (3, 12), (4, 7), (5, 6), (5, 9), (6, 9), (6, 10),
+    (7, 9), (7, 12), (8, 9), (8, 11), (8, 12), (9, 10), (9, 11), (9, 12),
+    (10, 11),
+]

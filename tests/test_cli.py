@@ -84,6 +84,21 @@ def test_bench_empty(capsys):
     assert capsys.readouterr().out == "n,seed,iterations,result\n"
 
 
+@pytest.mark.parametrize("size", ["x", "5-3", "0", "3-"])
+def test_bench_bad_size_range_usage(size):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--n", size, "--count", "1"])
+    assert exc.value.code == 2
+
+
+def test_bench_threads_not_integer_usage(monkeypatch, capsys):
+    monkeypatch.setenv("PENTACT_THREADS", "two")
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--count", "0"])
+    assert exc.value.code == 2
+    assert "PENTACT_THREADS" in capsys.readouterr().err
+
+
 def test_data_files_validate():
     import pathlib
     root = pathlib.Path(__file__).resolve().parents[1]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -8,9 +9,11 @@ from pentact.errors import (
     NonPlanar,
     NotTriangulated,
     ParseError,
+    PentactError,
 )
 from pentact.planarmap import (
     Triangulation,
+    _stack_vertex,
     build_from_edges,
     contract_for_schnyder,
     generate_random,
@@ -68,7 +71,7 @@ def test_duplicate_edge_rejected():
 
 
 def test_generate_random_euler():
-    for n, seed in [(1, 3), (6, 42), (50, 7)]:
+    for n, seed in [(1, 3), (6, 42), (50, 7), (640, 1)]:
         t = generate_random(n, seed)
         assert validate(t).ok
         assert len(t.inner_faces()) == 2 * n + 3
@@ -80,9 +83,48 @@ def test_generate_random_deterministic():
     assert generate_random(1, 9).rot == wheel5().rot
 
 
+def test_generate_random_golden_digest():
+    # pins every instance byte for byte; any change to the RNG draws, the
+    # order of the inner faces or the flip rule changes it
+    h = hashlib.sha256()
+    sizes = [(n, s) for n in range(1, 41) for s in range(10)]
+    for n, s in sizes + [(80, 1), (160, 1), (640, 1)]:
+        h.update((generate_random(n, s).dumps() + "\n").encode())
+    assert h.hexdigest() == (
+        "517a7f4f54e9531624ed72adecedcda0dccca94560eb6a29c89b9a1b19a76aa3")
+
+
+def test_generate_random_builds_a_fixed_number_of_maps(monkeypatch):
+    built = []
+    init = Triangulation.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Triangulation, "__init__", counting_init)
+    counts = []
+    for n in (2, 60):
+        built.clear()
+        generate_random(n, 3)
+        counts.append(len(built))
+    assert counts[0] == counts[1]
+
+
 def test_generate_random_invalid_size():
     with pytest.raises(InvalidSize):
         generate_random(0, 1)
+
+
+def test_stack_vertex_rejects_non_face():
+    w = wheel5()
+    rot = {v: list(ns) for v, ns in w.rot.items()}
+    for face in [(5, 1, 0), (0, 1, 2)]:  # counterclockwise; not a face
+        with pytest.raises(PentactError):
+            _stack_vertex(rot, face, 6)
+        assert rot == {v: list(ns) for v, ns in w.rot.items()}
+    _stack_vertex(rot, (5, 0, 1), 6)
+    assert validate(Triangulation(w.outer, rot, check=False)).ok
 
 
 def test_faces_clockwise_roundtrip():

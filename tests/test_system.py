@@ -11,11 +11,13 @@ from pentact.orientations import (
     chi,
     cw_facial_cycles,
 )
-from pentact.planarmap import generate_random, wheel5
+from pentact.planarmap import build_from_edges, generate_random, wheel5
 from pentact.q5 import ONE, PHI, Q5
 from pentact.signs import classify_and_extract
 from pentact.skeleton import build_skeleton
 from pentact.solveloop import iterate, progress_check, surrounded_segment
+
+from conftest import LONGRUN8_INNER_EDGES, hub_spread
 
 
 def test_wheel_skeleton_structure():
@@ -199,3 +201,26 @@ def test_surrounded_segment_identifies_concave(sample5_instance, sample5_forest)
         face, role = surrounded_segment(sk, cyc)
         assert role in (1, 2)
         assert face in {fd.face for fd in sk.quad_faces()}
+
+
+def test_hub_spread_loop_runs_n_minus_3():
+    for n in (8, 10, 12):
+        t = hub_spread(n)
+        assert t.degree(5) == n + 4
+        result = iterate(t, fcf_from_schnyder(t))
+        assert result.realized
+        assert result.iterations == n - 3
+
+
+def test_longrun8_trace():
+    # twice as many iterations as hub-spread at the same n, and the
+    # negative count is not monotone along the run
+    outer = [0, 1, 2, 3, 4]
+    edges = [(i, (i + 1) % 5) for i in range(5)] + LONGRUN8_INNER_EDGES
+    t = build_from_edges(outer, edges)
+    assert t.n_inner == 8
+    result = iterate(t, fcf_from_schnyder(t))
+    assert result.realized
+    assert result.iterations == 10
+    assert [r.negative_count for r in result.trace] == [
+        1, 1, 2, 2, 2, 2, 2, 1, 1, 0]
