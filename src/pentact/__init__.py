@@ -10,6 +10,7 @@ from .orientations import (
     chi,
     enumerate_alpha5,
     flip,
+    flip_lattice,
     psi,
     stack_extension,
     trace_path,

@@ -22,15 +22,7 @@ from . import layout as layout_mod
 from . import planarmap
 from .errors import ParseError, PentactError, TooLarge
 from .forests import fcf_from_schnyder
-from .linsys import assemble, solve
-from .orientations import (
-    StackExtension,
-    ccw_facial_cycles,
-    chi,
-    cw_facial_cycles,
-    enumerate_alpha5,
-    flip,
-)
+from .orientations import ccw_facial_cycles, cw_facial_cycles, flip_lattice
 from .solveloop import iterate
 
 EXIT_OK = 0
@@ -101,37 +93,12 @@ def cmd_lattice(args):
         print(rep, file=sys.stderr)
         return EXIT_INVALID
     try:
-        ext = StackExtension(t)
-        orientations = enumerate_alpha5(t, ext)
+        orientations, flips, connected = flip_lattice(t)
     except TooLarge as exc:
         print(f"instance too large: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    index = {x.key(): i for i, x in enumerate(orientations)}
-    flips = set()
-    sources = sinks = 0
-    reached = {0}
-    stack = [0]
-    for i, x in enumerate(orientations):
-        ccw = ccw_facial_cycles(x)
-        cw = cw_facial_cycles(x)
-        if not ccw:
-            sinks += 1
-        if not cw:
-            sources += 1
-        for cyc in ccw:
-            j = index[flip(x, cyc).key()]
-            flips.add((min(i, j), max(i, j)))
-    adj = {}
-    for (i, j) in flips:
-        adj.setdefault(i, []).append(j)
-        adj.setdefault(j, []).append(i)
-    while stack:
-        i = stack.pop()
-        for j in adj.get(i, []):
-            if j not in reached:
-                reached.add(j)
-                stack.append(j)
-    connected = len(reached) == len(orientations)
+    sinks = sum(not ccw_facial_cycles(x) for x in orientations)
+    sources = sum(not cw_facial_cycles(x) for x in orientations)
     print(f"orientations: {len(orientations)}")
     print(f"flip edges:   {len(flips)}")
     print(f"no-ccw elements: {sinks}, no-cw elements: {sources}")

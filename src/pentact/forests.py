@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ParseError, PentactError
-from .planarmap import Triangulation, contract_for_schnyder
+from .planarmap import contract_for_schnyder
 
 
 def mod5(c):
@@ -165,10 +165,6 @@ class FiveColorForest:
         if (u, v) in self.color_of:
             return "in", self.color_of[(u, v)]
         return None, None
-
-    def out_colors(self, v):
-        return {c: u for u in self.t.rot[v]
-                for k, c in [self.edge_data(v, u)] if k == "out"}
 
     def key(self):
         return frozenset((u, v, c) for (u, v), c in self.color_of.items())

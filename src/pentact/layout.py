@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -22,7 +22,7 @@ from .errors import (
     NegativeInput,
     PentactError,
 )
-from .forests import FiveColorForest, mod5, validate_fcf
+from .forests import FiveColorForest, validate_fcf
 from .planarmap import ValidationReport
 from .q5 import PHI, Q5, ZERO
 
@@ -86,30 +86,34 @@ class PentagonLayout:
     frame_sides: dict     # i -> exact Q5 length
     pentagons: dict       # vertex -> PentagonShape
     contacts: list
-    exact_nodes: dict     # skeleton node -> (Q5 x, Q5 y/sin36)
-    skeleton: object
-    closure_residual: float
 
-    def node_float(self, node):
-        x, y = self.exact_nodes[node]
-        return (x.to_float(), y.to_float() * SIN36)
+
+def _to_float(p):
+    x, y = p
+    return (x.to_float(), y.to_float() * SIN36)
 
 
 def realize(sk, sol):
-    """Propagate exact segment vectors over a spanning tree of the skeleton.
+    """Place the skeleton in one exact pass.
 
-    All non-tree segments must close exactly; a mismatch means the system
-    assembly is inconsistent, not a rounding problem.
+    Each segment's value and vector are computed once; positions propagate
+    over a spanning tree, and then every segment must close exactly.  A
+    mismatch means the system assembly is inconsistent, not a rounding
+    problem.
     """
     negs = sol.negatives()
     if negs:
         raise NegativeInput(f"solution has negative entries: {negs[:4]}")
 
+    values = [sol.seg_value(seg) for seg in sk.segments]
+    vectors = []
     adj = {}
-    for seg in sk.segments:
-        vec = _seg_vector(seg, sol)
-        adj.setdefault(seg.a, []).append((seg.b, vec))
-        adj.setdefault(seg.b, []).append((seg.a, (-vec[0], -vec[1])))
+    for seg, value in zip(sk.segments, values):
+        cos, sin = _direction(seg)
+        dx, dy = value * cos, value * sin
+        vectors.append((dx, dy))
+        adj.setdefault(seg.a, []).append((seg.b, (dx, dy)))
+        adj.setdefault(seg.b, []).append((seg.a, (-dx, -dy)))
 
     root = ("K", 1)
     pos = {root: (ZERO, ZERO)}
@@ -124,32 +128,24 @@ def realize(sk, sol):
     if len(pos) != len(adj):
         raise ClosureFailure("skeleton is not connected")
 
-    residual = 0.0
-    for seg in sk.segments:
+    for seg, (dx, dy) in zip(sk.segments, vectors):
         ax, ay = pos[seg.a]
-        dx, dy = _seg_vector(seg, sol)
         bx, by = pos[seg.b]
         if bx != ax + dx or by != ay + dy:
             raise ClosureFailure(f"segment {seg.index} does not close exactly")
-        fx = abs((ax + dx - bx).to_float())
-        fy = abs((ay + dy - by).to_float()) * SIN36
-        residual = max(residual, fx, fy)
 
-    fc = [None] * 5
-    for i in range(1, 6):
-        x, y = pos[("K", i)]
-        fc[i - 1] = (x.to_float(), y.to_float() * SIN36)
+    fc = [_to_float(pos[("K", i)]) for i in range(1, 6)]
     frame_lengths = {
-        i: _sum_lengths(sk.frame_sides[i], sol) for i in range(1, 6)
+        i: sum((values[seg.index] for seg in segs), ZERO)
+        for i, segs in sk.frame_sides.items()
     }
 
     pentagons = {}
     for v, pen in sk.pentagons.items():
-        apex_node = pen.nodes[pen.corner_pos[1]]
-        x, y = pos[apex_node]
         side = sol[("v", v)]
         pentagons[v] = PentagonShape(
-            v, (x.to_float(), y.to_float() * SIN36), side, side.to_float())
+            v, _to_float(pos[pen.nodes[pen.corner_pos[1]]]), side,
+            side.to_float())
 
     contacts = []
     t = sk.t
@@ -157,28 +153,11 @@ def realize(sk, sol):
     for (u, w) in sorted(t.inner_edges()):
         tail, head = (u, w) if sk.x.is_directed(u, w) else (w, u)
         _, color = sk.forest.edge_data(tail, head)
-        node = ("c", min(u, w), max(u, w))
-        px, py = pos[node]
         contacts.append(Contact(
-            tail, head, color,
-            (px.to_float(), py.to_float() * SIN36),
+            tail, head, color, _to_float(pos[("c", min(u, w), max(u, w))]),
             head in outer_index))
 
-    return PentagonLayout(fc, frame_lengths, pentagons, contacts, pos, sk,
-                          residual)
-
-
-def _seg_vector(seg, sol):
-    value = sol.seg_value(seg)
-    cos, sin = _direction(seg)
-    return (value * cos, value * sin)
-
-
-def _sum_lengths(segs, sol):
-    total = ZERO
-    for seg in segs:
-        total = total + sol.seg_value(seg)
-    return total
+    return PentagonLayout(fc, frame_lengths, pentagons, contacts)
 
 
 # -- geometric verification ---------------------------------------------------

@@ -12,17 +12,14 @@ opposite outgoing edge.
 
 from __future__ import annotations
 
-import json
-
 from .errors import (
     MissingEdgeAmbiguous,
     NotDirectedFace,
-    ParseError,
     PathCycled,
     PentactError,
     TooLarge,
 )
-from .forests import FiveColorForest, mod5, pattern_position, validate_fcf
+from .forests import FiveColorForest, pattern_position, validate_fcf
 from .planarmap import Triangulation, canonical_face
 
 
@@ -425,13 +422,24 @@ def flip(x, cycle):
     return x.reoriented(list(cycle))
 
 
-def orientation_to_json_text(x):
-    return json.dumps(x.to_json(), indent=1, sort_keys=True)
-
-
-def orientation_from_json(ext, obj):
-    try:
-        edges = [(int(u), int(v)) for u, v in obj["oriented_edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"orientation object malformed: {exc}") from exc
-    return Alpha5Orientation(ext, edges)
+def flip_lattice(t, ext=None):
+    """All orientations, the undirected index pairs joined by a ccw facial
+    flip, and whether those flips connect every orientation."""
+    xs = enumerate_alpha5(t, ext)
+    index = {x.key(): i for i, x in enumerate(xs)}
+    flips = set()
+    adj = {i: [] for i in range(len(xs))}
+    for i, x in enumerate(xs):
+        for cyc in ccw_facial_cycles(x):
+            j = index[flip(x, cyc).key()]
+            flips.add((min(i, j), max(i, j)))
+            adj[i].append(j)
+            adj[j].append(i)
+    reached = {0}
+    stack = [0]
+    while stack:
+        for j in adj[stack.pop()]:
+            if j not in reached:
+                reached.add(j)
+                stack.append(j)
+    return xs, flips, len(reached) == len(xs)

@@ -255,19 +255,6 @@ class SkeletonGraph:
         """Segments of side i of the pentagon of v, clockwise."""
         return self.pentagons[v].sides[i]
 
-    def segment(self, face, role):
-        return self.faces[face].seg_by_role(role)
-
-    def apex_node(self, v):
-        pen = self.pentagons[v]
-        return pen.nodes[pen.corner_pos[1]]
-
-    def corner_edge(self, v, pos):
-        """Outgoing base-map edge represented by corner `pos` of pentagon v."""
-        kind = self.pentagons[v].kinds[pos]
-        assert kind[0] == "corner"
-        return (v, kind[2])
-
     def quad_faces(self):
         return [fd for fd in self.faces.values() if fd.kind == "quad"]
 

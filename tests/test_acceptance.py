@@ -23,6 +23,7 @@ from pentact.orientations import (
     cw_facial_cycles,
     enumerate_alpha5,
     flip,
+    flip_lattice,
     psi,
 )
 from pentact.planarmap import canonical_face, generate_random, wheel5
@@ -178,28 +179,10 @@ def test_criterion_4_lattice():
     start = time.monotonic()
     for t in stackings_upto(3):
         ext = StackExtension(t)
-        xs = enumerate_alpha5(t, ext)
-        index = {x.key(): i for i, x in enumerate(xs)}
-        adj = {i: set() for i in range(len(xs))}
-        no_ccw = no_cw = 0
-        for i, x in enumerate(xs):
-            ccw = ccw_facial_cycles(x)
-            cw = cw_facial_cycles(x)
-            no_ccw += not ccw
-            no_cw += not cw
-            for cyc in ccw:
-                j = index[flip(x, cyc).key()]
-                adj[i].add(j)
-                adj[j].add(i)
-        reached = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in adj[i]:
-                if j not in reached:
-                    reached.add(j)
-                    stack.append(j)
-        assert len(reached) == len(xs), "flip graph disconnected"
+        xs, _, connected = flip_lattice(t, ext)
+        no_ccw = sum(not ccw_facial_cycles(x) for x in xs)
+        no_cw = sum(not cw_facial_cycles(x) for x in xs)
+        assert connected, "flip graph disconnected"
         assert no_ccw == 1 and no_cw == 1, "extreme elements not unique"
         # essential cycles are facial: any directed non-facial cycle has a
         # chordal path

@@ -72,6 +72,17 @@ def test_lattice_wheel(wheel_file, capsys):
     assert "flip edges:   0" in out
 
 
+def test_lattice_random(tmp_path, capsys):
+    p = tmp_path / "g.json"
+    p.write_text(generate_random(3, 5).dumps())
+    assert main(["lattice", "--in", str(p)]) == 0
+    assert capsys.readouterr().out == (
+        "orientations: 14\n"
+        "flip edges:   19\n"
+        "no-ccw elements: 1, no-cw elements: 1\n"
+        "flip graph connected: True\n")
+
+
 def test_lattice_too_large(tmp_path):
     g = generate_random(8, 3)
     p = tmp_path / "big.json"

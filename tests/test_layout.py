@@ -14,7 +14,7 @@ from pentact.layout import (
     realize,
     verify,
 )
-from pentact.linsys import assemble, solve
+from pentact.linsys import Solution, assemble, solve
 from pentact.planarmap import generate_random, wheel5
 from pentact.q5 import ONE, Q5
 from pentact.skeleton import build_skeleton
@@ -42,7 +42,6 @@ def test_wheel_layout_closed_form():
         mids.append(((a[0] + b[0]) / 2, (a[1] + b[1]) / 2))
     for c in corners:
         assert min(math.hypot(c[0] - m[0], c[1] - m[1]) for m in mids) < 1e-9
-    assert lay.closure_residual == 0.0
 
 
 def test_wheel_verify_and_contacts():
@@ -66,6 +65,31 @@ def test_negative_input_refused():
                 realize(sk, sol)
             return
         seed += 1
+
+
+def test_realize_refuses_inconsistent_solution():
+    res = _realized(generate_random(5, 3))
+    sol = res.solution
+    key = next(k for k in sol.system.variables if k[0] == "f" and k[2] == 2)
+    values = dict(sol.values)
+    values[key] = values[key] + 1
+    with pytest.raises(ClosureFailure, match="segment 27 does not close"):
+        realize(res.skeleton, Solution(sol.system, values))
+
+
+def test_realize_evaluates_each_segment_once(monkeypatch):
+    res = _realized(generate_random(5, 3))
+    calls = []
+    seg_value = Solution.seg_value
+
+    def counting(self, seg):
+        calls.append(seg.index)
+        return seg_value(self, seg)
+
+    monkeypatch.setattr(Solution, "seg_value", counting)
+    realize(res.skeleton, res.solution)
+    assert sorted(calls) == list(range(len(res.skeleton.segments)))
+    assert len(calls) == 47
 
 
 def test_verify_detects_shrunk_pentagon(sample5_instance, sample5_forest):
@@ -140,4 +164,3 @@ def test_random_end_to_end():
         res = _realized(t)
         lay = realize(res.skeleton, res.solution)
         assert verify(lay, t).ok
-        assert lay.closure_residual == 0.0
