@@ -22,7 +22,7 @@ from . import layout as layout_mod
 from . import planarmap
 from .errors import ParseError, PentactError, TooLarge
 from .forests import fcf_from_schnyder
-from .orientations import ccw_facial_cycles, cw_facial_cycles, flip_lattice
+from .orientations import flip_lattice
 from .solveloop import iterate
 
 EXIT_OK = 0
@@ -93,12 +93,10 @@ def cmd_lattice(args):
         print(rep, file=sys.stderr)
         return EXIT_INVALID
     try:
-        orientations, flips, connected = flip_lattice(t)
+        orientations, flips, connected, sinks, sources = flip_lattice(t)
     except TooLarge as exc:
         print(f"instance too large: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    sinks = sum(not ccw_facial_cycles(x) for x in orientations)
-    sources = sum(not cw_facial_cycles(x) for x in orientations)
     print(f"orientations: {len(orientations)}")
     print(f"flip edges:   {len(flips)}")
     print(f"no-ccw elements: {sinks}, no-cw elements: {sources}")

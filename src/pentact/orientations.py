@@ -422,19 +422,24 @@ def flip(x, cycle):
     return x.reoriented(list(cycle))
 
 
-def flip_lattice(t, ext=None):
+def flip_lattice(t):
     """All orientations, the undirected index pairs joined by a ccw facial
-    flip, and whether those flips connect every orientation."""
-    xs = enumerate_alpha5(t, ext)
+    flip, whether those flips connect every orientation, and how many
+    orientations have no ccw and no cw facial cycle."""
+    xs = enumerate_alpha5(t)
     index = {x.key(): i for i, x in enumerate(xs)}
     flips = set()
     adj = {i: [] for i in range(len(xs))}
+    no_ccw = 0
     for i, x in enumerate(xs):
-        for cyc in ccw_facial_cycles(x):
+        cycles = ccw_facial_cycles(x)
+        no_ccw += not cycles
+        for cyc in cycles:
             j = index[flip(x, cyc).key()]
             flips.add((min(i, j), max(i, j)))
             adj[i].append(j)
             adj[j].append(i)
+    no_cw = sum(not cw_facial_cycles(x) for x in xs)
     reached = {0}
     stack = [0]
     while stack:
@@ -442,4 +447,4 @@ def flip_lattice(t, ext=None):
             if j not in reached:
                 reached.add(j)
                 stack.append(j)
-    return xs, flips, len(reached) == len(xs)
+    return xs, flips, len(reached) == len(xs), no_ccw, no_cw

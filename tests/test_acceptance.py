@@ -178,17 +178,15 @@ def _has_chordal_path(x, cyc_vertices):
 def test_criterion_4_lattice():
     start = time.monotonic()
     for t in stackings_upto(3):
-        ext = StackExtension(t)
-        xs, _, connected = flip_lattice(t, ext)
-        no_ccw = sum(not ccw_facial_cycles(x) for x in xs)
-        no_cw = sum(not cw_facial_cycles(x) for x in xs)
+        xs, _, connected, no_ccw, no_cw = flip_lattice(t)
         assert connected, "flip graph disconnected"
         assert no_ccw == 1 and no_cw == 1, "extreme elements not unique"
         # essential cycles are facial: any directed non-facial cycle has a
         # chordal path
+        emap = xs[0].ext.map
         faces_sets = [frozenset(h[0] for h in orbit)
-                      for k, orbit in enumerate(ext.map.faces())
-                      if k != ext.map.outer_face_index()]
+                      for k, orbit in enumerate(emap.faces())
+                      if k != emap.outer_face_index()]
         for x in xs:
             dg = nx.DiGraph(x.directed_edges())
             for cyc in nx.simple_cycles(dg):
