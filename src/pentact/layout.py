@@ -2,11 +2,13 @@
 
 All five slope classes have cosines in Q(sqrt 5) and sines that are
 Q(sqrt 5)-multiples of sin 36deg, so coordinates propagate exactly as pairs
-(x, y/sin36) of field elements.  Every skeleton cycle closes exactly; the
-float picture is produced only at the end.  The frame's top side runs
-left to right at the top, frame side i having direction -72*(i-1) degrees,
-and inner pentagons have their horizontal side at the bottom with the
-colour-1 corner (the apex) on top.
+(x, y/sin36) of field elements.  ``realize`` keeps them in integers over one
+common denominator: with d the lcm of the solution's denominators, segment
+lengths are integer pairs over 2d and positions integer quadruples over 8d.
+Every skeleton cycle closes exactly; the float picture is produced only at
+the end.  The frame's top side runs left to right at the top, frame side i
+having direction -72*(i-1) degrees, and inner pentagons have their
+horizontal side at the bottom with the colour-1 corner (the apex) on top.
 """
 
 from __future__ import annotations
@@ -23,28 +25,37 @@ from .errors import (
     PentactError,
 )
 from .forests import FiveColorForest, validate_fcf
+from .linsys import ROLE_COEFFS
 from .planarmap import ValidationReport
-from .q5 import PHI, Q5, ZERO
+from .q5 import Q5, q5_float
 
-_Q = Fraction
-# clockwise direction of a colour-i frame segment: (cos, sin/sin36)
-_FRAME_COS = [
-    Q5(1),
-    Q5(_Q(-1, 4), _Q(1, 4)),
-    Q5(_Q(-1, 4), _Q(-1, 4)),
-    Q5(_Q(-1, 4), _Q(-1, 4)),
-    Q5(_Q(-1, 4), _Q(1, 4)),
-]
-_FRAME_SIN = [ZERO, -PHI, Q5(-1), Q5(1), PHI]
+# 4 * (cos, sin/sin36) of a clockwise colour-i frame segment, as integers
+# (cos_a, cos_b, sin_a, sin_b) meaning (cos_a + cos_b*sqrt5, sin_a + sin_b*sqrt5)
+_FRAME_DIR4 = (
+    (4, 0, 0, 0),
+    (-1, 1, -2, -2),
+    (-1, -1, -4, 0),
+    (-1, -1, 4, 0),
+    (-1, 1, 2, 2),
+)
+# pentagon sides run against the frame side of their colour
+_SIDE_DIR4 = tuple(tuple(-c for c in d) for d in _FRAME_DIR4)
+
+
+def _int_pair(q, k):
+    """Integers (a, b) with a + b*sqrt5 == k*q; k must clear q's denominators."""
+    a, b = k * q.a, k * q.b
+    assert a.denominator == b.denominator == 1, (q, k)
+    return a.numerator, b.numerator
+
+
+# ROLE_COEFFS scaled by 2: role -> ((slot, a, b), ...), coefficient a + b*sqrt5
+_ROLE_COEFFS2 = {
+    role: tuple((slot, *_int_pair(coeff, 2)) for slot, coeff in coeffs)
+    for role, coeffs in ROLE_COEFFS.items()
+}
 
 SIN36 = math.sin(math.pi / 5)
-
-
-def _direction(seg):
-    c = seg.color - 1
-    if seg.owner[0] == "frame":
-        return _FRAME_COS[c], _FRAME_SIN[c]
-    return -_FRAME_COS[c], -_FRAME_SIN[c]
 
 
 @dataclass
@@ -88,16 +99,24 @@ class PentagonLayout:
     contacts: list
 
 
-def _to_float(p):
-    x, y = p
-    return (x.to_float(), y.to_float() * SIN36)
+def _segment_value(ab, seg):
+    """Integers (A, B) with (A + B*sqrt5)/(2d) the length of `seg`, where
+    ``ab`` maps each variable to its integer pair over d."""
+    A = B = 0
+    for slot, p, q in _ROLE_COEFFS2[seg.role]:
+        a, b = ab[("f", seg.face, slot)]
+        A += p * a + 5 * q * b
+        B += p * b + q * a
+    return A, B
 
 
 def realize(sk, sol):
-    """Place the skeleton in one exact pass.
+    """Place the skeleton in one exact pass, in integers.
 
-    Each segment's value and vector are computed once; positions propagate
-    over a spanning tree, and then every segment must close exactly.  A
+    The solution is read once as integer pairs over d, the lcm of its
+    denominators.  Each segment's length (over 2d) and vector (over 8d) are
+    computed once; positions propagate over a spanning tree as integer
+    quadruples over 8d, and then every segment must close exactly.  A
     mismatch means the system assembly is inconsistent, not a rounding
     problem.
     """
@@ -105,47 +124,62 @@ def realize(sk, sol):
     if negs:
         raise NegativeInput(f"solution has negative entries: {negs[:4]}")
 
-    values = [sol.seg_value(seg) for seg in sk.segments]
+    d = math.lcm(*(c.denominator for q in sol.values.values()
+                   for c in (q.a, q.b)))
+    ab = {key: (q.a.numerator * (d // q.a.denominator),
+                q.b.numerator * (d // q.b.denominator))
+          for key, q in sol.values.items()}
+
+    values = []
     vectors = []
     adj = {}
-    for seg, value in zip(sk.segments, values):
-        cos, sin = _direction(seg)
-        dx, dy = value * cos, value * sin
-        vectors.append((dx, dy))
-        adj.setdefault(seg.a, []).append((seg.b, (dx, dy)))
-        adj.setdefault(seg.b, []).append((seg.a, (-dx, -dy)))
+    for seg in sk.segments:
+        A, B = _segment_value(ab, seg)
+        dirs = _FRAME_DIR4 if seg.owner[0] == "frame" else _SIDE_DIR4
+        ca, cb, sa, sb = dirs[seg.color - 1]
+        dxa, dxb = A * ca + 5 * B * cb, A * cb + B * ca
+        dya, dyb = A * sa + 5 * B * sb, A * sb + B * sa
+        values.append((A, B))
+        vectors.append((dxa, dxb, dya, dyb))
+        adj.setdefault(seg.a, []).append((seg.b, (dxa, dxb, dya, dyb)))
+        adj.setdefault(seg.b, []).append((seg.a, (-dxa, -dxb, -dya, -dyb)))
 
     root = ("K", 1)
-    pos = {root: (ZERO, ZERO)}
+    pos = {root: (0, 0, 0, 0)}
     queue = [root]
     while queue:
         cur = queue.pop()
-        cx, cy = pos[cur]
-        for (nxt, (dx, dy)) in adj[cur]:
+        xa, xb, ya, yb = pos[cur]
+        for (nxt, (dxa, dxb, dya, dyb)) in adj[cur]:
             if nxt not in pos:
-                pos[nxt] = (cx + dx, cy + dy)
+                pos[nxt] = (xa + dxa, xb + dxb, ya + dya, yb + dyb)
                 queue.append(nxt)
     if len(pos) != len(adj):
         raise ClosureFailure("skeleton is not connected")
 
-    for seg, (dx, dy) in zip(sk.segments, vectors):
-        ax, ay = pos[seg.a]
-        bx, by = pos[seg.b]
-        if bx != ax + dx or by != ay + dy:
+    for seg, (dxa, dxb, dya, dyb) in zip(sk.segments, vectors):
+        xa, xb, ya, yb = pos[seg.a]
+        if pos[seg.b] != (xa + dxa, xb + dxb, ya + dya, yb + dyb):
             raise ClosureFailure(f"segment {seg.index} does not close exactly")
 
-    fc = [_to_float(pos[("K", i)]) for i in range(1, 6)]
-    frame_lengths = {
-        i: sum((values[seg.index] for seg in segs), ZERO)
-        for i, segs in sk.frame_sides.items()
-    }
+    d8 = 8 * d
+
+    def to_float(node):
+        xa, xb, ya, yb = pos[node]
+        return (q5_float(xa, xb, d8), q5_float(ya, yb, d8) * SIN36)
+
+    fc = [to_float(("K", i)) for i in range(1, 6)]
+    frame_lengths = {}
+    for i, segs in sk.frame_sides.items():
+        A = sum(values[seg.index][0] for seg in segs)
+        B = sum(values[seg.index][1] for seg in segs)
+        frame_lengths[i] = Q5(Fraction(A, 2 * d), Fraction(B, 2 * d))
 
     pentagons = {}
     for v, pen in sk.pentagons.items():
-        side = sol[("v", v)]
         pentagons[v] = PentagonShape(
-            v, _to_float(pos[pen.nodes[pen.corner_pos[1]]]), side,
-            side.to_float())
+            v, to_float(pen.nodes[pen.corner_pos[1]]), sol[("v", v)],
+            q5_float(*ab[("v", v)], d))
 
     contacts = []
     t = sk.t
@@ -154,7 +188,7 @@ def realize(sk, sol):
         tail, head = (u, w) if sk.x.is_directed(u, w) else (w, u)
         _, color = sk.forest.edge_data(tail, head)
         contacts.append(Contact(
-            tail, head, color, _to_float(pos[("c", min(u, w), max(u, w))]),
+            tail, head, color, to_float(("c", min(u, w), max(u, w))),
             head in outer_index))
 
     return PentagonLayout(fc, frame_lengths, pentagons, contacts)

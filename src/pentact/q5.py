@@ -132,14 +132,12 @@ class Q5:
         return (self - self._coerce(other)).sign() >= 0
 
     def to_float(self) -> float:
-        """Double approximation ``float(a) + float(b)*sqrt(5)``.
-
-        ``a`` and ``b`` are rounded separately before the sum, so when the two
-        terms nearly cancel the result can be far off, even of the wrong
-        sign: at nested stacking depth 400 a tiny positive value converts to
-        -3.96e28.  Exact signs come from :meth:`sign`.
-        """
-        return float(self.a) + float(self.b) * _SQRT5
+        """Double approximation ``float(a) + float(b)*sqrt(5)``, by
+        :func:`q5_float`.  Exact signs come from :meth:`sign`."""
+        a, b = self.a, self.b
+        return q5_float(a.numerator * b.denominator,
+                        b.numerator * a.denominator,
+                        a.denominator * b.denominator)
 
     __float__ = to_float
 
@@ -162,6 +160,19 @@ class Q5:
 
 
 _SQRT5 = 5 ** 0.5
+
+
+def q5_float(a: int, b: int, d: int) -> float:
+    """Double approximation of ``(a + b*sqrt5)/d`` for integers, ``d > 0``.
+
+    This is the one place where exact field elements become floats.  ``a/d``
+    and ``b/d`` are each rounded correctly (integer true division, as
+    ``float(Fraction)`` does) before the sum, so when the two terms nearly
+    cancel the result can be far off, even of the wrong sign: at nested
+    stacking depth 400 a tiny positive value converts to -3.96e28.
+    """
+    return a / d + b / d * _SQRT5
+
 
 ZERO = Q5(0, 0)
 ONE = Q5(1, 0)

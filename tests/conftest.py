@@ -128,6 +128,14 @@ def stackings_upto(max_inner):
         level = nxt
 
 
+def nested_stack(depth):
+    """The wheel, then each new vertex stacked into the face on outer edge (0, 1)."""
+    edges = [(i, (i + 1) % 5) for i in range(5)] + [(5, i) for i in range(5)]
+    for v in range(6, 5 + depth):
+        edges += [(v, 0), (v, 1), (v, v - 1)]
+    return build_from_edges((0, 1, 2, 3, 4), edges)
+
+
 def hub_spread(n_inner):
     """Deterministic family whose loop runs n - 3 times (for n >= 8).
 

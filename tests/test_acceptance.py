@@ -10,7 +10,6 @@ import time
 from fractions import Fraction
 
 import networkx as nx
-import pytest
 
 from pentact.errors import DegenerateContact, SingularMatrix
 from pentact.forests import fcf_from_schnyder
@@ -26,7 +25,7 @@ from pentact.orientations import (
     flip_lattice,
     psi,
 )
-from pentact.planarmap import canonical_face, generate_random, wheel5
+from pentact.planarmap import generate_random, wheel5
 from pentact.q5 import PHI, Q5, ZERO
 from pentact.signs import classify_and_extract
 from pentact.skeleton import build_skeleton

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 
 import pytest
 
+from pentact import layout
 from pentact.errors import ClosureFailure, DegenerateContact, NegativeInput
 from pentact.forests import fcf_from_schnyder
 from pentact.layout import (
@@ -19,6 +21,8 @@ from pentact.planarmap import generate_random, wheel5
 from pentact.q5 import ONE, Q5
 from pentact.skeleton import build_skeleton
 from pentact.solveloop import iterate
+
+from conftest import nested_stack
 
 
 def _realized(t):
@@ -80,16 +84,34 @@ def test_realize_refuses_inconsistent_solution():
 def test_realize_evaluates_each_segment_once(monkeypatch):
     res = _realized(generate_random(5, 3))
     calls = []
-    seg_value = Solution.seg_value
+    segment_value = layout._segment_value
 
-    def counting(self, seg):
+    def counting(ab, seg):
         calls.append(seg.index)
-        return seg_value(self, seg)
+        return segment_value(ab, seg)
 
-    monkeypatch.setattr(Solution, "seg_value", counting)
+    monkeypatch.setattr(layout, "_segment_value", counting)
     realize(res.skeleton, res.solution)
     assert sorted(calls) == list(range(len(res.skeleton.segments)))
     assert len(calls) == 47
+
+
+# sha256 over the JSON and contact-graph SVG of every layout below; the JSON
+# holds every float of the layout (as repr) and the exact frame side lengths
+REALIZE_GOLDEN = "50402b0514a04c9c143af5ea1beffe247450de3ee2df11808783196e17c7955d"
+
+
+def test_realize_output_bytes_golden():
+    # nested depths 12, 25 and 40 fail the float verify but realize exactly
+    instances = [nested_stack(d) for d in (1, 11, 12, 25, 40)]
+    instances += [generate_random(n, s) for n in range(1, 13) for s in range(3)]
+    h = hashlib.sha256()
+    for t in instances:
+        res = _realized(t)
+        lay = realize(res.skeleton, res.solution)
+        h.update(json.dumps(layout_to_json(lay), sort_keys=True).encode())
+        h.update(emit_svg(lay, contact_graph=True).encode())
+    assert h.hexdigest() == REALIZE_GOLDEN
 
 
 def test_verify_detects_shrunk_pentagon(sample5_instance, sample5_forest):

@@ -8,9 +8,11 @@ from pentact import linsys, solveloop
 from pentact.errors import SingularMatrix
 from pentact.forests import fcf_from_schnyder
 from pentact.linsys import LinearSystem, assemble, solve
-from pentact.planarmap import build_from_edges, generate_random, loads
+from pentact.planarmap import generate_random, loads
 from pentact.q5 import PHI, ZERO
 from pentact.skeleton import build_skeleton
+
+from conftest import nested_stack
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -43,14 +45,6 @@ def first_system(t):
     return assemble(build_skeleton(t, fcf_from_schnyder(t)))
 
 
-def nested(depth):
-    """The wheel, then each new vertex stacked into the face on outer edge (0, 1)."""
-    edges = [(i, (i + 1) % 5) for i in range(5)] + [(5, i) for i in range(5)]
-    for v in range(6, 5 + depth):
-        edges += [(v, 0), (v, 1), (v, v - 1)]
-    return build_from_edges((0, 1, 2, 3, 4), edges)
-
-
 def checked_solve(system):
     sol = solve(system)
     assert sol.values == gauss_q5(system)
@@ -77,14 +71,14 @@ def test_every_loop_system_of_small_random_instances_matches_oracle(monkeypatch)
 def test_nested_stacking_matches_oracle():
     bits = 0
     for depth in range(1, 41):
-        sol = checked_solve(first_system(nested(depth)))
+        sol = checked_solve(first_system(nested_stack(depth)))
         bits = max(bits, max(max(abs(f.numerator).bit_length(), f.denominator.bit_length())
                              for v in sol.values.values() for f in (v.a, v.b)))
     assert bits == 54
 
 
 def test_certificate_rejects_corrupted_solution(monkeypatch):
-    system = first_system(nested(6))
+    system = first_system(nested_stack(6))
     reconstruct = linsys._reconstruct
 
     def corrupted(*args):

@@ -1,4 +1,3 @@
-import networkx as nx
 import pytest
 
 from pentact.errors import NotDirectedFace, TooLarge
@@ -15,7 +14,7 @@ from pentact.orientations import (
     trace_path,
     validate_alpha5,
 )
-from pentact.planarmap import canonical_face, generate_random, validate, wheel5
+from pentact.planarmap import generate_random, validate, wheel5
 
 from conftest import stackings_upto
 

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -73,3 +72,8 @@ def test_sign_matches_float(x):
     f = x.to_float()
     if abs(f) > 1e-9:
         assert x.sign() == (1 if f > 0 else -1)
+
+
+@given(q5s)
+def test_to_float_rounds_each_component_separately(x):
+    assert x.to_float() == float(x.a) + float(x.b) * 5 ** 0.5

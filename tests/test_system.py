@@ -1,8 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
-from pentact.errors import DimensionMismatch
 from pentact.forests import fcf_from_schnyder
 from pentact.linsys import ROLE_COEFFS, assemble, solve
 from pentact.orientations import (
