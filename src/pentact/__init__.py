@@ -13,7 +13,6 @@ from .orientations import (
     flip_lattice,
     psi,
     stack_extension,
-    trace_path,
 )
 from .planarmap import (
     Triangulation,

@@ -33,10 +33,6 @@ class MissingEdgeAmbiguous(PentactError):
     """A face does not have exactly one missing-outgoing corner."""
 
 
-class PathCycled(PentactError):
-    """A boundary walk revisited a vertex; the orientation is corrupt."""
-
-
 class TooLarge(PentactError):
     """Instance exceeds the guard for exhaustive operations."""
 

@@ -27,7 +27,7 @@ from .errors import (
 from .forests import FiveColorForest, validate_fcf
 from .linsys import ROLE_COEFFS
 from .planarmap import ValidationReport
-from .q5 import Q5, q5_float
+from .q5 import Q5, q5_float, q5_sign
 
 # 4 * (cos, sin/sin36) of a clockwise colour-i frame segment, as integers
 # (cos_a, cos_b, sin_a, sin_b) meaning (cos_a + cos_b*sqrt5, sin_a + sin_b*sqrt5)
@@ -114,21 +114,20 @@ def realize(sk, sol):
     """Place the skeleton in one exact pass, in integers.
 
     The solution is read once as integer pairs over d, the lcm of its
-    denominators.  Each segment's length (over 2d) and vector (over 8d) are
-    computed once; positions propagate over a spanning tree as integer
-    quadruples over 8d, and then every segment must close exactly.  A
-    mismatch means the system assembly is inconsistent, not a rounding
-    problem.
+    denominators, and its signs are checked on those pairs.  Each segment's
+    length (over 2d) and vector (over 8d) are computed once; positions
+    propagate over a spanning tree as integer quadruples over 8d, and then
+    every segment must close exactly.  A mismatch means the system assembly
+    is inconsistent, not a rounding problem.
     """
-    negs = sol.negatives()
-    if negs:
-        raise NegativeInput(f"solution has negative entries: {negs[:4]}")
-
     d = math.lcm(*(c.denominator for q in sol.values.values()
                    for c in (q.a, q.b)))
     ab = {key: (q.a.numerator * (d // q.a.denominator),
                 q.b.numerator * (d // q.b.denominator))
           for key, q in sol.values.items()}
+    negs = [key for key in sol.system.variables if q5_sign(*ab[key]) < 0]
+    if negs:
+        raise NegativeInput(f"solution has negative entries: {negs[:4]}")
 
     values = []
     vectors = []

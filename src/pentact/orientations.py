@@ -5,9 +5,10 @@ inner face touching at most one outer vertex.  Orientations of its inner
 edges with outdegree 5 at inner normal vertices, 2 at stack vertices and 0
 at outer vertices are in bijection with five color forests: a forest maps to
 the orientation whose stack vertices receive their unique incoming edge at
-the face corner lacking an outgoing edge, and colours are recovered from an
-orientation by walking each edge to the boundary, always leaving through the
-opposite outgoing edge.
+the face corner lacking an outgoing edge.  Colours are recovered from an
+orientation by one propagation from the boundary: an edge into a_i has
+colour i, and around an inner vertex one coloured edge fixes the rest,
+because the five outgoing edges take consecutive colours clockwise.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from __future__ import annotations
 from .errors import (
     MissingEdgeAmbiguous,
     NotDirectedFace,
-    PathCycled,
     PentactError,
     TooLarge,
 )
-from .forests import FiveColorForest, pattern_position, validate_fcf
+from .forests import FiveColorForest, mod5, pattern_position, validate_fcf
 from .planarmap import Triangulation, canonical_face
 
 
@@ -212,113 +212,46 @@ def chi(f, ext=None):
 # -- orientation -> forest ----------------------------------------------------
 
 
-def _outgoing_from(x, v, start, step):
-    """Outgoing edges of v in rotation order from `start` (exclusive);
-    step=+1 clockwise, -1 counterclockwise."""
-    rot = x.ext.map.rot[v]
-    i = rot.index(start)
-    out = []
-    for k in range(1, len(rot) + 1):
-        u = rot[(i + step * k) % len(rot)]
-        if not _is_outer_pair(x.ext, v, u) and x.is_directed(v, u):
-            out.append(u)
-    return out
-
-
-def trace_path(x, u, v, prefer="left"):
-    """Walk from the directed edge (u -> v) to an outer vertex.
-
-    At inner normal vertices the walk leaves through the opposite outgoing
-    edge (third outgoing edge clockwise past the arrival).  At a stack vertex
-    it takes the left outgoing edge, then the second outgoing edge of that
-    head counterclockwise past the connection; if the left head is an outer
-    vertex the right branch (clockwise twin rule) is used instead.
-    Returns the vertex path ending at an outer vertex.
-    """
-    ext = x.ext
-    outer = set(ext.base.outer)
-    path = [u, v]
-    seen = {u, v}
-    cur, prev = v, u
-    while cur not in outer:
-        if ext.is_stack(cur):
-            lefts = _outgoing_from(x, cur, prev, +1)
-            left, right = lefts[0], lefts[1]
-            use_left = prefer == "left"
-            if left in outer:
-                use_left = False
-            if right in outer:
-                use_left = True
-            if use_left:
-                mid = left
-                nxt_out = _outgoing_from(x, mid, cur, -1)
-            else:
-                mid = right
-                nxt_out = _outgoing_from(x, mid, cur, +1)
-            if mid in seen:
-                raise PathCycled(f"walk revisits {mid}")
-            path.append(mid)
-            seen.add(mid)
-            if mid in outer:
-                return path
-            nxt = nxt_out[1]
-            prev, cur = mid, nxt
-        else:
-            outs = _outgoing_from(x, cur, prev, +1)
-            nxt = outs[2]
-            prev, cur = cur, nxt
-        if cur in seen:
-            raise PathCycled(f"walk revisits {cur}")
-        path.append(cur)
-        seen.add(cur)
-    return path
-
-
-def trace_end_vertices(x, u, v):
-    """All boundary end vertices reachable by the branching walk from (u,v).
-
-    Exhaustive over the left/right choice at stack vertices; by the path
-    properties of valid orientations this set has exactly one element.
-    """
-    ext = x.ext
-    outer = set(ext.base.outer)
-    ends = set()
-
-    def go(prev, cur, seen):
-        while cur not in outer:
-            if cur in seen:
-                raise PathCycled(f"walk revisits {cur}")
-            seen = seen | {cur}
-            if ext.is_stack(cur):
-                left, right = _outgoing_from(x, cur, prev, +1)[:2]
-                for mid, step in ((left, -1), (right, +1)):
-                    if mid in outer:
-                        continue
-                    nxt = _outgoing_from(x, mid, cur, step)[1]
-                    go(mid, nxt, seen | {mid})
-                if left in outer:
-                    ends.add(left)
-                if right in outer:
-                    ends.add(right)
-                return
-            prev, cur = cur, _outgoing_from(x, cur, prev, +1)[2]
-        ends.add(cur)
-
-    go(u, v, {u})
-    return ends
-
-
 def psi(x):
-    """Forest recovered from an orientation: each edge of the base map keeps
-    its direction and takes the colour of the boundary vertex its walk hits."""
+    """Forest recovered from an orientation by propagating colours from the
+    boundary.
+
+    An edge into a_i has colour i.  Clockwise around an inner vertex of the
+    stack extension the five outgoing edges take consecutive colours (a stack
+    edge stands for the colour the forest lacks there), and an incoming base
+    edge after outgoing colour c takes c + 3.  So one coloured edge fixes
+    every colour at its vertex; both ends of each base edge must agree.
+    """
     ext = x.ext
     t = ext.base
-    color_at = {a: i + 1 for i, a in enumerate(t.outer)}
+    color = {(a, u): i + 1 for i, a in enumerate(t.outer) for u in t.rot[a]}
+    outer = set(t.outer)
+    queue = [v for v in t.inner_vertices() if outer.intersection(t.rot[v])]
+    reached = outer.union(queue)
+    for v in queue:
+        rot = ext.map.rot[v]
+        out = [x.is_directed(v, u) for u in rot]
+        if sum(out) != 5:
+            raise PentactError(f"vertex {v} has {sum(out)} outgoing edges")
+        s = out.index(True)
+        rel, c = {}, -1
+        for u, is_out in zip(rot[s:] + rot[:s], out[s:] + out[:s]):
+            c += is_out
+            if not ext.is_stack(u):
+                rel[u] = c if is_out else c + 3
+        k = next(color[(u, v)] - r for u, r in rel.items() if (u, v) in color)
+        for u, r in rel.items():
+            color[(v, u)] = mod5(r + k)
+            if u not in reached:
+                reached.add(u)
+                queue.append(u)
     colored = []
     for (u, v) in sorted(t.inner_edges()):
+        if color[(u, v)] != color[(v, u)]:
+            raise PentactError(f"edge ({u},{v}) coloured {color[(u, v)]} "
+                               f"at {u} and {color[(v, u)]} at {v}")
         tail, head = (u, v) if x.is_directed(u, v) else (v, u)
-        end = trace_path(x, tail, head)[-1]
-        colored.append((tail, head, color_at[end]))
+        colored.append((tail, head, color[(u, v)]))
     f = FiveColorForest(t, colored)
     rep = validate_fcf(t, f)
     if not rep.ok:

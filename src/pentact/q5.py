@@ -104,20 +104,8 @@ class Q5:
         return self.a != 0 or self.b != 0
 
     def sign(self) -> int:
-        """Exact sign: -1, 0 or +1."""
-        if self.b == 0:
-            return -1 if self.a < 0 else (1 if self.a > 0 else 0)
-        if self.a == 0:
-            return -1 if self.b < 0 else 1
-        sa = 1 if self.a > 0 else -1
-        sb = 1 if self.b > 0 else -1
-        if sa == sb:
-            return sa
-        # opposite component signs: |a| vs sqrt(5)|b| decides
-        t = self.a * self.a - 5 * self.b * self.b
-        if t == 0:
-            raise ArithmeticError("sqrt(5) is irrational; norm cannot vanish")
-        return sa if t > 0 else sb
+        """Exact sign: -1, 0 or +1, by :func:`q5_sign`."""
+        return q5_sign(self.a, self.b)
 
     def __lt__(self, other: Q5Like) -> bool:
         return (self - self._coerce(other)).sign() < 0
@@ -157,6 +145,24 @@ class Q5:
     @classmethod
     def from_json(cls, obj: dict) -> "Q5":
         return cls(Fraction(obj["a"]), Fraction(obj["b"]))
+
+
+def q5_sign(a: _RatLike, b: _RatLike) -> int:
+    """Exact sign of ``a + b*sqrt5``: -1, 0 or +1.  With integer ``a`` and
+    ``b`` every step is integer arithmetic."""
+    if b == 0:
+        return -1 if a < 0 else (1 if a > 0 else 0)
+    if a == 0:
+        return -1 if b < 0 else 1
+    sa = 1 if a > 0 else -1
+    sb = 1 if b > 0 else -1
+    if sa == sb:
+        return sa
+    # opposite component signs: |a| vs sqrt(5)|b| decides
+    t = a * a - 5 * b * b
+    if t == 0:
+        raise ArithmeticError("sqrt(5) is irrational; norm cannot vanish")
+    return sa if t > 0 else sb
 
 
 _SQRT5 = 5 ** 0.5

@@ -2,14 +2,15 @@
 
 Each round solves the current forest's system.  A non-negative solution is
 final; otherwise all extracted sign-separating cycles are reversed at once
-in the orientation, the forest is recomputed by boundary walks, and the
-loop restarts.  Termination is conjectural, so the loop keeps a seen set of
-orientations and a hard iteration cap and reports a full trace when it has
-to give up.
+in the orientation, the forest is recovered from it by propagating colours
+from the boundary, and the loop restarts.  Termination is conjectural, so
+the loop keeps a seen set of orientations and a hard iteration cap and
+reports a full trace when it has to give up.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 from .linsys import assemble, solve
@@ -51,7 +52,8 @@ class IterateResult:
 
 
 def _orientation_hash(x):
-    return format(hash(x.key()) & 0xFFFFFFFFFFFFFFFF, "016x")
+    """First 16 hex digits of the sha256 of the sorted directed edges."""
+    return hashlib.sha256(repr(x.directed_edges()).encode()).hexdigest()[:16]
 
 
 def iterate(t, f0, max_iters=None):

@@ -42,6 +42,9 @@ def test_represent_wheel(wheel_file, tmp_path, capsys):
     tr = json.loads((tmp_path / "trace.json").read_text())
     assert tr["status"] == "realized"
     assert len(tr["iterations"]) == 1
+    # sha256 of "[(5, 0), (5, 1), (5, 2), (5, 3), (5, 4)]", the same in
+    # every process and on every platform
+    assert tr["iterations"][0]["orientation"] == "e55ac676b0d21218"
     svg = (tmp_path / "rep.svg").read_text()
     assert svg.count("pentagon") == 1
 

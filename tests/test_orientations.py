@@ -1,6 +1,6 @@
 import pytest
 
-from pentact.errors import NotDirectedFace, TooLarge
+from pentact.errors import NotDirectedFace, PentactError, TooLarge
 from pentact.forests import fcf_from_schnyder
 from pentact.orientations import (
     StackExtension,
@@ -10,8 +10,6 @@ from pentact.orientations import (
     enumerate_alpha5,
     flip,
     psi,
-    trace_end_vertices,
-    trace_path,
     validate_alpha5,
 )
 from pentact.planarmap import generate_random, validate, wheel5
@@ -45,28 +43,20 @@ def test_chi_sample5_orientation(sample5_instance, sample5_forest):
         assert len(ins) == 1
 
 
-def test_trace_wheel():
-    w = wheel5()
-    x = chi(fcf_from_schnyder(w))
-    assert trace_path(x, 5, 1) == [5, 1]
-
-
-def test_trace_sample5_edge(sample5_instance, sample5_forest):
-    x = chi(sample5_forest)
-    path = trace_path(x, 8, 7)
-    assert path[-1] == 1  # ends at a2, matching the colour-2 edge
-
-
-def test_trace_branch_independence(sample5_instance, sample5_forest):
-    x = chi(sample5_forest)
-    for (u, v) in sorted(sample5_instance.inner_edges()):
-        tail, head = (u, v) if x.is_directed(u, v) else (v, u)
-        assert len(trace_end_vertices(x, tail, head)) == 1
-
-
 def test_psi_chi_roundtrip(sample5_instance, sample5_forest):
     x = chi(sample5_forest)
     assert psi(x) == sample5_forest
+
+
+def test_psi_rejects_single_edge_reversal():
+    # reversing one base edge breaks two out-degrees, so no forest exists
+    for n, seed in ((3, 1), (5, 3), (8, 2)):
+        t = generate_random(n, seed)
+        x = chi(fcf_from_schnyder(t))
+        for (u, v) in sorted(t.inner_edges()):
+            edge = (u, v) if x.is_directed(u, v) else (v, u)
+            with pytest.raises(PentactError):
+                psi(x.reoriented([edge]))
 
 
 def test_enumerate_wheel():
@@ -154,21 +144,6 @@ def test_outer_cycle_has_no_inward_edges():
     t = generate_random(5, 77)
     x = chi(fcf_from_schnyder(t))
     assert all(x.outdeg(a) == 0 for a in t.outer)
-
-
-def test_opposite_edge_symmetric(sample5_instance, sample5_forest):
-    # the walk's continuation is the 3rd outgoing edge clockwise past the
-    # arrival; with five outgoing edges the counterclockwise count agrees
-    from pentact.orientations import _outgoing_from
-    x = chi(sample5_forest)
-    ext = x.ext
-    for v in sample5_instance.inner_vertices():
-        for u in ext.map.rot[v]:
-            if x.is_directed(v, u):
-                continue
-            cw = _outgoing_from(x, v, u, +1)
-            ccw = _outgoing_from(x, v, u, -1)
-            assert cw[2] == ccw[2]
 
 
 def test_mirrored_rotations_accepted():

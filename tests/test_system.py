@@ -161,8 +161,8 @@ def test_iterate_wheel():
 
 
 def test_iterate_realizes_and_chi_matches():
-    for seed in (3, 14, 27):
-        t = generate_random(5 + seed % 5, seed)
+    instances = [generate_random(5 + seed % 5, seed) for seed in (3, 14, 27)]
+    for t in instances + [hub_spread(20)]:
         res = iterate(t, fcf_from_schnyder(t))
         assert res.realized
         assert chi(res.forest, res.orientation.ext) == res.orientation
